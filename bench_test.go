@@ -296,8 +296,7 @@ func BenchmarkFigure13dHHPath(b *testing.B) {
 }
 
 // BenchmarkPipelineForwardOnly is the baseline per-packet cost of the
-// simulated pipeline with a single forwarding program (compiled plan, the
-// default path; see BenchmarkForwardPath for the side-by-side).
+// simulated pipeline with a single forwarding program.
 func BenchmarkPipelineForwardOnly(b *testing.B) {
 	ct := mustOpen(b)
 	if _, err := ct.Deploy("program fwd(<hdr.ipv4.dst, 0, 0>) { FORWARD(2); }"); err != nil {
@@ -312,39 +311,26 @@ func BenchmarkPipelineForwardOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardPath measures the forward-only per-packet cost on the
-// interpreted tables and on the compiled pipeline plan — the headline
-// speedup of the link-time lowering (docs/PERFORMANCE.md). The acceptance
-// bound is the compiled case: <= 1000 ns/op at 0 allocs/op, >= 2x the
-// interpreted figure.
+// BenchmarkForwardPath measures the forward-only per-packet cost of the one
+// packet path: Table.Apply against each table's published snapshot, with
+// keys read from declared PHV fields and actions pre-bound at insert
+// (docs/PERFORMANCE.md). The acceptance bound is 0 allocs/op.
 func BenchmarkForwardPath(b *testing.B) {
-	for _, compiled := range []bool{false, true} {
-		name := "interpreted"
-		if compiled {
-			name = "compiled"
-		}
-		b.Run(name, func(b *testing.B) {
-			ct := mustOpen(b)
-			if _, err := ct.Deploy("program fwd(<hdr.ipv4.dst, 0, 0>) { FORWARD(2); }"); err != nil {
-				b.Fatal(err)
-			}
-			ct.SetCompile(compiled)
-			if _, ok := ct.SW.CompiledPlan(); ok != compiled {
-				b.Fatalf("compiled plan published = %v, want %v", ok, compiled)
-			}
-			flow := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: pkt.ProtoUDP}
-			p := pkt.NewUDP(flow, 512)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ct.SW.Inject(p, 1)
-			}
-		})
+	ct := mustOpen(b)
+	if _, err := ct.Deploy("program fwd(<hdr.ipv4.dst, 0, 0>) { FORWARD(2); }"); err != nil {
+		b.Fatal(err)
+	}
+	flow := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: pkt.ProtoUDP}
+	p := pkt.NewUDP(flow, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ct.SW.Inject(p, 1)
 	}
 }
 
 // BenchmarkInjectBatch measures the batched injection API against per-packet
-// Inject on the compiled plan: one PHV checkout and one metrics flush per
+// Inject: one PHV checkout and one metrics flush per
 // 64-packet burst instead of per packet.
 func BenchmarkInjectBatch(b *testing.B) {
 	ct := mustOpen(b)
@@ -575,7 +561,7 @@ func BenchmarkPostcardSampling(b *testing.B) {
 // 3-switch leaf-spine path (leaf0 -> spine0 -> leaf1): every packet is
 // counted into a CMS at the leaf, routed on destination prefix at the
 // spine, and handed to the edge at the far leaf, with each hop riding the
-// compiled InjectBatch path. ns/op is per end-to-end packet.
+// InjectBatch path. ns/op is per end-to-end packet.
 func BenchmarkFabricReplay(b *testing.B) {
 	cfg := DefaultConfig()
 	f := NewFabric(FabricOptions{})
@@ -639,7 +625,7 @@ program down(
 
 // BenchmarkUpgradeCutover measures the hitless-upgrade cutover: one epoch
 // publication flips every init-table dispatch entry between v1 and v2 with
-// no table churn and the compiled plan kept hot. ns/op is the full
+// no table churn. ns/op is the full
 // controller round trip (journal-less) plus one probe packet; epoch-ns is
 // the epoch publication alone, averaged from the sessions' own timing. The
 // acceptance bound is the stalled metric: a packet injected immediately

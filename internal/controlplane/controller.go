@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"p4runpro/internal/core"
@@ -22,7 +21,6 @@ import (
 	"p4runpro/internal/obs/trace"
 	"p4runpro/internal/resource"
 	"p4runpro/internal/rmt"
-	"p4runpro/internal/rmt/compile"
 	"p4runpro/internal/smt"
 	"p4runpro/internal/upgrade"
 )
@@ -50,7 +48,7 @@ type Controller struct {
 	mDeployNs, mRevokeNs, mMemOpNs             *obs.Histogram
 	cDeployOK, cDeployErr                      *obs.Counter
 	cRevokeOK, cRevokeErr, cMemOpOK, cMemOpErr *obs.Counter
-	cEntries, cRecompiles                      *obs.Counter
+	cEntries                                   *obs.Counter
 
 	// Versioned-upgrade sessions by program name (see upgrade.go): the
 	// active session while an upgrade is in flight, or the most recent
@@ -60,11 +58,6 @@ type Controller struct {
 
 	mUpgradeCutoverNs                                      *obs.Histogram
 	cUpgradeStarted, cUpgradeCommitted, cUpgradeRolledBack *obs.Counter
-
-	// compileOff disables the compiled packet path (SetCompile). The zero
-	// value keeps compilation on: every mutating operation recompiles the
-	// switch's pipeline plan after it lands.
-	compileOff atomic.Bool
 
 	// tracer and flight, when set by SetTracing, record per-operation span
 	// trees (lock wait, journal commit, apply) and flight-recorder events
@@ -87,34 +80,7 @@ func New(cfg rmt.Config, opt core.Options) (*Controller, error) {
 		upgrades: make(map[string]*upgrade.Session),
 	}
 	ct.initMetrics()
-	ct.recompile()
 	return ct, nil
-}
-
-// SetCompile toggles the compiled packet path. It is on by default: the
-// controller recompiles the switch's pipeline plan after every mutating
-// operation (deploy, revoke, case update), so traffic between updates runs
-// on lowered plans. Disabling retires the current plan and leaves the switch
-// interpreted — used by benchmarks and the equivalence test to pin one path.
-func (ct *Controller) SetCompile(enabled bool) {
-	ct.compileOff.Store(!enabled)
-	if enabled {
-		ct.recompile()
-	} else {
-		compile.Invalidate(ct.SW)
-	}
-}
-
-// recompile refreshes the compiled pipeline plan after a mutating operation.
-// Failure is benign — the mutation already invalidated any stale plan, so
-// the switch falls back to the interpreted path until the next recompile.
-func (ct *Controller) recompile() {
-	if ct.compileOff.Load() {
-		return
-	}
-	if _, ok := compile.Recompile(ct.SW); ok {
-		ct.cRecompiles.Add(1)
-	}
 }
 
 // DeployReport quantifies one program deployment (§6.2.1): parsing and
@@ -212,7 +178,6 @@ func (ct *Controller) applyDeployCtx(ctx context.Context, src string) ([]DeployR
 			}
 		}
 		observeOp(ct.mDeployNs, ct.cDeployOK, ct.cDeployErr, start, err)
-		ct.recompile()
 		return nil, err
 	}
 	reports := make([]DeployReport, 0, len(lps))
@@ -232,7 +197,6 @@ func (ct *Controller) applyDeployCtx(ctx context.Context, src string) ([]DeployR
 		})
 	}
 	observeOp(ct.mDeployNs, ct.cDeployOK, ct.cDeployErr, start, err)
-	ct.recompile()
 	return reports, err
 }
 
@@ -301,7 +265,6 @@ func (ct *Controller) applyRevoke(name string) (RevokeReport, error) {
 	}
 	st, err := ct.Compiler.Revoke(name)
 	observeOp(ct.mRevokeNs, ct.cRevokeOK, ct.cRevokeErr, start, err)
-	ct.recompile()
 	if err != nil {
 		return RevokeReport{}, err
 	}
@@ -335,7 +298,6 @@ func (ct *Controller) AddCases(program string, branchDepth int, src string) ([]c
 
 func (ct *Controller) applyAddCases(program string, branchDepth int, src string) ([]core.AddedCase, time.Duration, error) {
 	added, err := ct.Compiler.AddCases(program, branchDepth, src)
-	ct.recompile()
 	entries := 0
 	for _, a := range added {
 		entries += a.Entries
@@ -346,9 +308,7 @@ func (ct *Controller) applyAddCases(program string, branchDepth int, src string)
 // RemoveCase deletes a runtime-added case branch from a running program.
 func (ct *Controller) RemoveCase(program string, branchID int) error {
 	if ct.jrn == nil {
-		err := ct.Compiler.RemoveCase(program, branchID)
-		ct.recompile()
-		return err
+		return ct.Compiler.RemoveCase(program, branchID)
 	}
 	ct.jrn.mu.Lock()
 	defer ct.jrn.mu.Unlock()
@@ -357,7 +317,6 @@ func (ct *Controller) RemoveCase(program string, branchID int) error {
 		return err
 	}
 	err := ct.Compiler.RemoveCase(program, branchID)
-	ct.recompile()
 	if err == nil {
 		ct.jrn.trackCaseOp(program, rec)
 	}
@@ -459,6 +418,9 @@ type ProgramInfo struct {
 	MemWords  uint32
 	Passes    int
 	Hits      uint64 // packets matched across the program's entries
+	// PacketHits counts the program's init-filter hits: packets attributed
+	// to it (see ProgramPacketHits).
+	PacketHits uint64
 }
 
 // ProgramHits sums the direct counters of every entry a program owns — how
@@ -488,9 +450,20 @@ func (ct *Controller) ProgramPacketHits(name string) uint64 {
 	return total
 }
 
-// Programs lists the linked programs.
+// Programs lists the linked programs. Hits are summed by owner in one pass
+// over each table, so a listing costs O(entries), not O(programs × entries).
 func (ct *Controller) Programs() []ProgramInfo {
 	names := ct.Compiler.Programs()
+	hits := make(map[string]uint64, len(names))
+	for _, t := range ct.SW.Tables() {
+		t.AddHitsByOwner(hits)
+	}
+	pktHits := make(map[string]uint64, len(names))
+	if ct.Plane != nil {
+		for _, t := range ct.Plane.InitTables() {
+			t.AddHitsByOwner(pktHits)
+		}
+	}
 	out := make([]ProgramInfo, 0, len(names))
 	for _, n := range names {
 		lp, ok := ct.Compiler.Linked(n)
@@ -498,13 +471,14 @@ func (ct *Controller) Programs() []ProgramInfo {
 			continue
 		}
 		out = append(out, ProgramInfo{
-			Name:      lp.Name,
-			ProgramID: lp.ProgramID,
-			Depths:    lp.TP.L(),
-			Entries:   lp.Stats.EntryCount,
-			MemWords:  lp.Stats.MemWords,
-			Passes:    lp.Alloc.MaxPass() + 1,
-			Hits:      ct.ProgramHits(lp.Name),
+			Name:       lp.Name,
+			ProgramID:  lp.ProgramID,
+			Depths:     lp.TP.L(),
+			Entries:    lp.Stats.EntryCount,
+			MemWords:   lp.Stats.MemWords,
+			Passes:     lp.Alloc.MaxPass() + 1,
+			Hits:       hits[lp.Name],
+			PacketHits: pktHits[lp.Name],
 		})
 	}
 	return out

@@ -358,3 +358,39 @@ func TestProgramHits(t *testing.T) {
 		t.Errorf("ProgramInfo.Hits = %d, want %d", infos[0].Hits, h)
 	}
 }
+
+// TestProgramsHitsMatchPerProgram: the listing's one-pass hit sums agree
+// with the per-program accessors for every linked program after traffic.
+func TestProgramsHitsMatchPerProgram(t *testing.T) {
+	ct := newController(t)
+	for _, name := range []string{"cms", "calc"} {
+		spec, _ := programs.Get(name)
+		if _, err := ct.Deploy(spec.DefaultSource()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ct.Deploy("program fwd(<hdr.ipv4.dst, 0, 0>) { FORWARD(2); }"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		sketch := pkt.FiveTuple{SrcIP: pkt.IP(10, 0, 3, byte(i)), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: pkt.ProtoUDP}
+		ct.SW.Inject(pkt.NewUDP(sketch, 100), 1)
+		ct.SW.Inject(pkt.NewCalc(pkt.FiveTuple{SrcIP: 1, DstIP: 2, Proto: pkt.ProtoUDP}, pkt.CalcAdd, 2, 3), 1)
+		ct.SW.Inject(pkt.NewUDP(pkt.FiveTuple{SrcIP: 7, DstIP: 8, SrcPort: 5, DstPort: 53, Proto: pkt.ProtoUDP}, 100), 1)
+	}
+	infos := ct.Programs()
+	if len(infos) != 3 {
+		t.Fatalf("listed %d programs, want 3", len(infos))
+	}
+	for _, pi := range infos {
+		if pi.Hits == 0 {
+			t.Errorf("%s: no hits after traffic", pi.Name)
+		}
+		if want := ct.ProgramHits(pi.Name); pi.Hits != want {
+			t.Errorf("%s: ProgramInfo.Hits = %d, ProgramHits = %d", pi.Name, pi.Hits, want)
+		}
+		if want := ct.ProgramPacketHits(pi.Name); pi.PacketHits != want || want != 6 {
+			t.Errorf("%s: ProgramInfo.PacketHits = %d, ProgramPacketHits = %d, want 6", pi.Name, pi.PacketHits, want)
+		}
+	}
+}

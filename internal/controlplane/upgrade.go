@@ -115,7 +115,6 @@ func (ct *Controller) applyUpgradePrepare(name, v2src string) (upgrade.Status, e
 	}
 	ct.upMu.Unlock()
 	s, err := upgrade.Prepare(ct.Compiler, ct.Plane, name, v2src)
-	ct.recompile()
 	if err != nil {
 		return upgrade.Status{}, err
 	}
@@ -128,8 +127,7 @@ func (ct *Controller) applyUpgradePrepare(name, v2src string) (upgrade.Status, e
 
 // UpgradeCutover publishes the epoch assigning new packets to the given
 // version (2 to cut over, 1 to roll the traffic back). The flip is one
-// atomic pointer store — no table entry moves and the compiled plan stays
-// hot, so no recompile follows.
+// atomic pointer store — no table entry moves.
 func (ct *Controller) UpgradeCutover(name string, version int) (upgrade.Status, error) {
 	return ct.UpgradeCutoverCtx(context.Background(), name, version)
 }
@@ -197,7 +195,6 @@ func (ct *Controller) applyUpgradeCommit(name string) (upgrade.Status, error) {
 		return upgrade.Status{}, err
 	}
 	err = s.Commit()
-	ct.recompile()
 	if err != nil {
 		return upgrade.Status{}, err
 	}
@@ -231,7 +228,6 @@ func (ct *Controller) applyUpgradeAbort(name string) (upgrade.Status, error) {
 		return upgrade.Status{}, err
 	}
 	err = s.Abort()
-	ct.recompile()
 	if err != nil {
 		return upgrade.Status{}, err
 	}

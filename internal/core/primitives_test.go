@@ -32,7 +32,7 @@ program probe(<hdr.udp.dst_port, 9998, 0xffff>) {
 }
 
 // TestArithmeticPrimitivesEndToEnd drives every arithmetic/logic primitive
-// and pseudo primitive through the compiled pipeline, checking Table 3
+// and pseudo primitive through the linked pipeline, checking Table 3
 // semantics against packet-visible results.
 func TestArithmeticPrimitivesEndToEnd(t *testing.T) {
 	cases := []struct {

@@ -7,18 +7,11 @@ import (
 	"p4runpro/internal/rmt"
 )
 
-// RPB table key positions: the three control flags, then the three
-// registers (paper §4.1.2: "a large table with the keys of control flags
-// and registers").
-const (
-	rkProg = iota
-	rkBranch
-	rkRecirc
-	rkHAR
-	rkSAR
-	rkMAR
-	rpbKeyCount
-)
+// rpbKeyFields is the RPB table key, read straight from these PHV
+// containers: the three control flags, then the three registers (paper
+// §4.1.2: "a large table with the keys of control flags and registers").
+// internal/core builds entry keys in the same order.
+var rpbKeyFields = []string{FieldProg, FieldBranch, FieldRecirc, FieldHAR, FieldSAR, FieldMAR}
 
 // Register codes used in entry parameters; they match lang.Reg.
 const (
@@ -26,17 +19,6 @@ const (
 	regSAR = 2
 	regMAR = 3
 )
-
-func rpbKeyFunc(p *rmt.PHV) []uint32 {
-	k := p.KeyScratch(rpbKeyCount)
-	k[rkProg] = p.Get(FieldProg)
-	k[rkBranch] = p.Get(FieldBranch)
-	k[rkRecirc] = p.Get(FieldRecirc)
-	k[rkHAR] = p.Get(FieldHAR)
-	k[rkSAR] = p.Get(FieldSAR)
-	k[rkMAR] = p.Get(FieldMAR)
-	return k
-}
 
 func regGet(p *rmt.PHV, code uint32) uint32 {
 	switch code {
@@ -75,14 +57,11 @@ func (pl *Plane) provisionRPBs() error {
 		} else {
 			g, stage = rmt.Egress, id-pl.N-1
 		}
-		t, err := pl.SW.AddTable(fmt.Sprintf("rpb_%02d", id), g, stage, cfg.TableCapacity, rpbKeyCount, rpbKeyFunc)
+		t, err := pl.SW.AddTable(fmt.Sprintf("rpb_%02d", id), g, stage, cfg.TableCapacity, len(rpbKeyFields), nil)
 		if err != nil {
 			return err
 		}
-		// Declare the key layout so the plan compiler can lower rpbKeyFunc's
-		// six string-keyed Get calls into direct container reads (field order
-		// must match the rk* key indices above).
-		if err := t.SetPHVKeyFields(pl.SW.PHVLayout(), FieldProg, FieldBranch, FieldRecirc, FieldHAR, FieldSAR, FieldMAR); err != nil {
+		if err := t.SetPHVKeyFields(pl.SW.PHVLayout(), rpbKeyFields...); err != nil {
 			return err
 		}
 		if err := pl.registerActions(t, g, stage); err != nil {
@@ -240,11 +219,7 @@ func (pl *Plane) provisionRecircBlock() error {
 	// The recirculation block occupies the last ingress stage and rewrites
 	// the P4runpro header (registers + flags, carried in the PHV across
 	// passes in the simulator) while flagging the traffic manager.
-	t, err := pl.SW.AddTable("recirc_block", rmt.Ingress, cfg.IngressStages-1, cfg.TableCapacity, 3, func(p *rmt.PHV) []uint32 {
-		k := p.KeyScratch(3)
-		k[0], k[1], k[2] = p.Get(FieldProg), p.Get(FieldBranch), p.Get(FieldRecirc)
-		return k
-	})
+	t, err := pl.SW.AddTable("recirc_block", rmt.Ingress, cfg.IngressStages-1, cfg.TableCapacity, 3, nil)
 	if err != nil {
 		return err
 	}

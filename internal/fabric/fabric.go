@@ -18,7 +18,7 @@
 // propagation latency that stitched path traces accumulate.
 //
 // Replay (replay.go) feeds timed traffic into edge ports and batches every
-// hop through Switch.InjectBatch, so the compiled packet path's throughput
+// hop through Switch.InjectBatch, so the batched packet path's throughput
 // carries across the fabric. Path telemetry (trace.go) samples one in N
 // edge packets and forces a postcard at every hop, stitching the per-switch
 // records into end-to-end path traces keyed by a fabric-assigned packet ID.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -37,9 +38,10 @@ const (
 
 // FlightRecorder is a fixed-size ring of recent control-plane events with
 // zero steady-state allocations: slots are preallocated, writers claim a
-// slot with an atomic counter, and a per-slot sequence lock keeps dump-time
-// readers from observing torn writes. A writer that loses the (rare) race
-// for a recycled slot drops its event rather than blocking.
+// slot with an atomic counter, and a per-slot mutex keeps dump-time readers
+// from observing torn writes. A writer never blocks: when the slot's lock is
+// held (another writer lapped the ring into it, or a dump is copying it),
+// the writer drops its event and counts the drop.
 type FlightRecorder struct {
 	slots   []eslot
 	head    atomic.Uint64
@@ -47,8 +49,8 @@ type FlightRecorder struct {
 }
 
 type eslot struct {
-	seq atomic.Uint64 // even = stable, odd = being written
-	ev  Event
+	mu sync.Mutex
+	ev Event
 }
 
 // NewFlightRecorder returns a recorder holding the last n events
@@ -71,14 +73,12 @@ func (r *FlightRecorder) Record(ev Event) {
 	}
 	i := r.head.Add(1) - 1
 	s := &r.slots[i%uint64(len(r.slots))]
-	seq := s.seq.Load()
-	if seq%2 != 0 || !s.seq.CompareAndSwap(seq, seq+1) {
-		// Another writer lapped the ring into this slot mid-write.
+	if !s.mu.TryLock() {
 		r.dropped.Add(1)
 		return
 	}
 	s.ev = ev
-	s.seq.Store(seq + 2)
+	s.mu.Unlock()
 }
 
 // Dropped reports how many events were lost to slot contention.
@@ -103,18 +103,11 @@ func (r *FlightRecorder) Events() []Event {
 	out := make([]Event, 0, head-start)
 	for i := start; i < head; i++ {
 		s := &r.slots[i%n]
-		for tries := 0; tries < 4; tries++ {
-			seq := s.seq.Load()
-			if seq%2 != 0 {
-				continue
-			}
-			ev := s.ev
-			if s.seq.Load() == seq {
-				if ev.At != 0 {
-					out = append(out, ev)
-				}
-				break
-			}
+		s.mu.Lock()
+		ev := s.ev
+		s.mu.Unlock()
+		if ev.At != 0 {
+			out = append(out, ev)
 		}
 	}
 	return out

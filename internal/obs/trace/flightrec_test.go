@@ -107,3 +107,21 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		t.Fatalf("ring should be full at 32, got %d", got)
 	}
 }
+
+// TestFlightRecorderDropsOnContention: a writer whose slot is locked (a
+// dump copying it, or a writer that lapped the ring) drops its event and
+// counts the drop instead of blocking.
+func TestFlightRecorderDropsOnContention(t *testing.T) {
+	r := NewFlightRecorder(2)
+	r.slots[0].mu.Lock()
+	r.Record(Event{Kind: EvDeploy, Name: "held"})
+	r.slots[0].mu.Unlock()
+	r.Record(Event{Kind: EvDeploy, Name: "free"})
+	if got := r.Dropped(); got != 1 {
+		t.Fatalf("dropped %d, want 1", got)
+	}
+	evs := r.Events()
+	if len(evs) != 1 || evs[0].Name != "free" {
+		t.Fatalf("events %+v, want only the unblocked one", evs)
+	}
+}

@@ -212,6 +212,66 @@ func TestPacketSeesWholeEntryVersion(t *testing.T) {
 	wg.Wait()
 }
 
+// TestInjectBatchChurnUnderRace runs per-packet and batched injection
+// concurrently with entry churn on a declared-key-field table — the -race
+// gate for publishing match state under the packet path. Every packet must
+// still get a valid verdict (the table's default guarantees
+// forwarded-or-dropped; anything else means a torn snapshot).
+func TestInjectBatchChurnUnderRace(t *testing.T) {
+	sw, tbl := keyFieldSwitch(t)
+	stop := make(chan struct{})
+	var churn, inj sync.WaitGroup
+
+	churn.Add(1)
+	go func() { // control plane: churn entries
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id, err := tbl.Insert([]TernaryKey{Exact(uint32(i % 8))}, i%4, "fwd", []uint32{2}, "churn")
+			if err == nil && i%2 == 0 {
+				_ = tbl.Delete(id)
+			}
+			if i%24 == 0 {
+				_ = tbl.DeleteOwned("churn")
+			}
+		}
+	}()
+
+	workers := max(2, runtime.GOMAXPROCS(0))
+	for w := 0; w < workers; w++ {
+		inj.Add(1)
+		go func(w int) {
+			defer inj.Done()
+			batch := make([]BatchItem, 16)
+			for i := 0; i < 1500; i++ {
+				if i%3 == 0 {
+					for j := range batch {
+						batch[j] = BatchItem{Pkt: dstPkt(uint32((i + j) % 8)), Port: 1}
+					}
+					sw.InjectBatch(batch)
+					for j := range batch {
+						if v := batch[j].Res.Verdict; v != VerdictForwarded && v != VerdictDropped {
+							t.Errorf("worker %d: batch verdict %v", w, v)
+						}
+					}
+					continue
+				}
+				r := sw.Inject(dstPkt(uint32(i%8)), 1)
+				if r.Verdict != VerdictForwarded && r.Verdict != VerdictDropped {
+					t.Errorf("worker %d: verdict %v", w, r.Verdict)
+				}
+			}
+		}(w)
+	}
+	inj.Wait()
+	close(stop)
+	churn.Wait()
+}
+
 // TestRegisterArrayConcurrentOps verifies the per-word SALU atomics under
 // contention: adds must not lose updates and max must converge to the global
 // maximum, modeling simultaneous packets hitting one sketch bucket.

@@ -381,3 +381,127 @@ func TestAddTableValidation(t *testing.T) {
 		t.Error("tables listing wrong")
 	}
 }
+
+// keyFieldSwitch builds a minimal switch whose one ingress table matches the
+// IPv4 destination through a declared PHV key field (no key function), with
+// a forward action and a drop default.
+func keyFieldSwitch(t testing.TB) (*Switch, *Table) {
+	t.Helper()
+	sw := New(DefaultConfig())
+	if err := sw.PHVLayout().Define("dst", 32); err != nil {
+		t.Fatal(err)
+	}
+	sw.SetParseHook(func(p *PHV) {
+		if p.Packet != nil && p.Packet.IP4 != nil {
+			p.Set("dst", p.Packet.IP4.Dst)
+		}
+	})
+	tbl, err := sw.AddTable("t", Ingress, 0, 64, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SetPHVKeyFields(sw.PHVLayout(), "dst"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.RegisterAction("fwd", 1, func(p *PHV, params []uint32) {
+		p.Meta.EgressSpec = int(params[0])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.RegisterAction("drop", 1, func(p *PHV, _ []uint32) {
+		p.Meta.Drop = true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SetDefault("drop"); err != nil {
+		t.Fatal(err)
+	}
+	return sw, tbl
+}
+
+func dstPkt(dst uint32) *pkt.Packet {
+	return pkt.NewUDP(pkt.FiveTuple{SrcIP: 1, DstIP: dst, SrcPort: 3, DstPort: 4, Proto: pkt.ProtoUDP}, 100)
+}
+
+// TestDeclaredKeyFieldsExecute checks that a table with declared PHV key
+// fields and no key function matches on those fields: a hit runs the
+// entry's pre-bound action, a miss runs the default, and both count.
+func TestDeclaredKeyFieldsExecute(t *testing.T) {
+	sw, tbl := keyFieldSwitch(t)
+	if _, err := tbl.Insert([]TernaryKey{Exact(7)}, 0, "fwd", []uint32{3}, "p"); err != nil {
+		t.Fatal(err)
+	}
+	if r := sw.Inject(dstPkt(7), 1); r.Verdict != VerdictForwarded || r.OutPort != 3 {
+		t.Fatalf("hit: %v out %d", r.Verdict, r.OutPort)
+	}
+	if r := sw.Inject(dstPkt(8), 1); r.Verdict != VerdictDropped {
+		t.Fatalf("default: %v", r.Verdict)
+	}
+	if hits, misses := tbl.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("hits=%d misses=%d", hits, misses)
+	}
+	if err := tbl.SetPHVKeyFields(sw.PHVLayout(), "dst", "dst"); err == nil {
+		t.Fatal("accepted a key-field count that differs from the table's")
+	}
+	if err := tbl.SetPHVKeyFields(sw.PHVLayout(), "nope"); err == nil {
+		t.Fatal("accepted an undefined key field")
+	}
+}
+
+// TestMutationVisibleToNextPacket: once Delete or Insert returns, the next
+// injected packet must observe the post-mutation entry set — no earlier
+// snapshot may keep serving it.
+func TestMutationVisibleToNextPacket(t *testing.T) {
+	sw, tbl := keyFieldSwitch(t)
+	id, err := tbl.Insert([]TernaryKey{Exact(7)}, 0, "fwd", []uint32{3}, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := sw.Inject(dstPkt(7), 1); r.OutPort != 3 {
+		t.Fatalf("pre-mutation port %d", r.OutPort)
+	}
+	if err := tbl.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if r := sw.Inject(dstPkt(7), 1); r.Verdict != VerdictDropped {
+		t.Fatalf("deleted entry still served: %v out %d", r.Verdict, r.OutPort)
+	}
+	if _, err := tbl.Insert([]TernaryKey{Exact(7)}, 0, "fwd", []uint32{9}, "p"); err != nil {
+		t.Fatal(err)
+	}
+	if r := sw.Inject(dstPkt(7), 1); r.Verdict != VerdictForwarded || r.OutPort != 9 {
+		t.Fatalf("post-mutation packet saw stale behavior: %v out %d", r.Verdict, r.OutPort)
+	}
+}
+
+// TestInjectBatchMatchesInject checks the batched API yields the same
+// results and counters as per-packet injection.
+func TestInjectBatchMatchesInject(t *testing.T) {
+	mk := func() *Switch {
+		sw, tbl := keyFieldSwitch(t)
+		if _, err := tbl.Insert([]TernaryKey{Exact(2)}, 0, "fwd", []uint32{5}, "p"); err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+	const n = 100
+	swA, swB := mk(), mk()
+	batch := make([]BatchItem, n)
+	serial := make([]Result, n)
+	for i := 0; i < n; i++ {
+		dst := uint32(i % 3)
+		serial[i] = swA.Inject(dstPkt(dst), 1)
+		batch[i] = BatchItem{Pkt: dstPkt(dst), Port: 1}
+	}
+	swB.InjectBatch(batch)
+	for i := 0; i < n; i++ {
+		if batch[i].Res.Verdict != serial[i].Verdict || batch[i].Res.OutPort != serial[i].OutPort {
+			t.Fatalf("packet %d: batch %v/%d, serial %v/%d", i,
+				batch[i].Res.Verdict, batch[i].Res.OutPort, serial[i].Verdict, serial[i].OutPort)
+		}
+	}
+	ma, mb := swA.Metrics(), swB.Metrics()
+	if ma.Packets != mb.Packets || ma.Passes != mb.Passes || ma.Verdicts != mb.Verdicts {
+		t.Fatalf("metrics diverge: %+v vs %+v", ma, mb)
+	}
+}

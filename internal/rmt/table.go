@@ -46,6 +46,10 @@ type Entry struct {
 	Params   []uint32
 	Owner    string // installing program, for bookkeeping and debugging
 
+	// fn is the action implementation, resolved once at Insert so a hit
+	// calls it directly instead of looking the action name up per packet.
+	fn ActionFunc
+
 	// hits counts packets this entry matched (a direct counter, read via
 	// Hits); updated atomically because lookups run lock-free.
 	hits uint64
@@ -54,21 +58,37 @@ type Entry struct {
 // Hits returns the entry's direct counter.
 func (e *Entry) Hits() uint64 { return atomic.LoadUint64(&e.hits) }
 
-// tableState is the immutable published match state of a table: the bucket
-// index, the wildcard list, the action set, and the resolved default action.
-// Every mutation builds a fresh tableState under the writer lock and
+// The exact-first-key index is split into shards by a hash of the key,
+// held in two levels of shardFan: the snapshot header points at shardFan
+// groups of shardFan shards each. A mutation copies the header, one group,
+// and the one shard it touches, so its cost stays flat as a table fills
+// with programs instead of growing with the number of distinct first keys.
+const shardFan = 16
+
+type shardGroup [shardFan]map[uint32][]*Entry
+
+// shardOf spreads first-key values over the shardFan² shards (Fibonacci
+// hashing), so sequential program IDs land in different shards.
+func shardOf(k uint32) uint32 { return (k * 0x9E3779B1) >> 24 }
+
+// tableState is the immutable published match state of a table, and the
+// form the packet path executes: entries carry their pre-bound action
+// functions, so a lookup against one snapshot is the whole match-action
+// step. Every mutation builds a fresh tableState under the writer lock and
 // publishes it with one atomic pointer store, so the packet path reads a
-// consistent snapshot without taking any lock — the simulator's model of the
-// RMT architecture's per-entry update atomicity that P4runpro's consistent
-// update relies on (paper §4.3/§5). A snapshot is never mutated after
-// publication; entries are shared between snapshots (their hit counters are
-// atomics and survive republication).
+// consistent snapshot without taking any lock — the simulator's model of
+// the RMT architecture's per-entry update atomicity that P4runpro's
+// consistent update relies on (paper §4.3/§5). A snapshot is never mutated
+// after publication; entries, shard groups, shard maps, and entry slices
+// are shared between snapshots until a writer replaces them (hit counters
+// are atomics and survive republication).
 type tableState struct {
-	actions map[string]actionDef
-	// exact-first-key index: RPB tables always match the program ID
-	// exactly as their first key, so bucket entries by it; entries whose
-	// first key is not a full mask go to the wildcard list.
-	buckets  map[uint32][]*Entry
+	// groups is the exact-first-key index: RPB tables always match the
+	// program ID exactly as their first key, so entries are bucketed by it
+	// (nil groups and shards are empty); entries whose first key is not a
+	// full mask go to the wildcard list. Buckets and the wildcard list are
+	// sorted by descending priority.
+	groups   [shardFan]*shardGroup
 	wildcard []*Entry
 	count    int
 
@@ -77,15 +97,72 @@ type tableState struct {
 	defaultParams []uint32
 }
 
-// clone shallow-copies the state: fresh maps, shared entry slices. Writers
-// replace any slice they modify with a copy before publishing.
+// clone copies the state header; groups, shards and slices stay shared.
+// Writers replace any of them they modify with a copy before publishing.
 func (st *tableState) clone() *tableState {
 	ns := *st
-	ns.buckets = make(map[uint32][]*Entry, len(st.buckets)+1)
-	for k, v := range st.buckets {
-		ns.buckets[k] = v
-	}
 	return &ns
+}
+
+// shard returns shard i (nil when empty).
+func (st *tableState) shard(i uint32) map[uint32][]*Entry {
+	if g := st.groups[i/shardFan]; g != nil {
+		return g[i%shardFan]
+	}
+	return nil
+}
+
+// setShard replaces shard i in a cloned state, copying its group.
+func (st *tableState) setShard(i uint32, m map[uint32][]*Entry) {
+	ng := new(shardGroup)
+	if g := st.groups[i/shardFan]; g != nil {
+		*ng = *g
+	}
+	ng[i%shardFan] = m
+	st.groups[i/shardFan] = ng
+}
+
+// bucket returns the entries whose first key is exactly k.
+func (st *tableState) bucket(k uint32) []*Entry { return st.shard(shardOf(k))[k] }
+
+// setBucket replaces (or, for an empty list, removes) bucket k in a cloned
+// state, copying only the group and shard that hold it.
+func (st *tableState) setBucket(k uint32, list []*Entry) {
+	i := shardOf(k)
+	old := st.shard(i)
+	m := make(map[uint32][]*Entry, len(old)+1)
+	for kk, v := range old {
+		m[kk] = v
+	}
+	if len(list) == 0 {
+		delete(m, k)
+	} else {
+		m[k] = list
+	}
+	if len(m) == 0 {
+		m = nil
+	}
+	st.setShard(i, m)
+}
+
+// each calls fn for every installed entry: buckets in shard order, then the
+// wildcard list.
+func (st *tableState) each(fn func(*Entry)) {
+	for _, g := range st.groups {
+		if g == nil {
+			continue
+		}
+		for _, m := range g {
+			for _, b := range m {
+				for _, e := range b {
+					fn(e)
+				}
+			}
+		}
+	}
+	for _, e := range st.wildcard {
+		fn(e)
+	}
 }
 
 // Table is a stage-resident ternary match-action table. Lookups (Apply,
@@ -104,38 +181,27 @@ type Table struct {
 	nkeys   int
 
 	// keyPHV, when non-nil, declares that this table's key vector is
-	// exactly the listed PHV containers in order (SetPHVKeyFields). The
-	// plan compiler lowers such tables to direct container reads; nil
-	// tables keep the generic keyFunc on the compiled path too.
+	// exactly the listed PHV containers in order (SetPHVKeyFields); Apply
+	// then reads them directly and keyFunc is unused.
 	keyPHV []int
 
-	// onMutate, when non-nil, is called after every published state change
-	// (insert, delete, action/default registration). The owning switch uses
-	// it to invalidate its compiled pipeline plan, so a stale plan can never
-	// serve a packet after a mutation completes.
-	onMutate func()
-
-	mu     sync.Mutex // serializes writers; readers never take it
-	nextID EntryID
-	state  atomic.Pointer[tableState]
+	mu      sync.Mutex // serializes writers; readers never take it
+	nextID  EntryID
+	actions map[string]actionDef // guarded by mu
+	// byID locates installed entries for Delete without scanning the
+	// index; guarded by mu.
+	byID  map[EntryID]*Entry
+	state atomic.Pointer[tableState]
 
 	hits, misses atomic.Uint64
 }
 
-// notify signals the owning switch (if any) that the published match state
-// changed. Called by every mutator after its atomic store.
-func (t *Table) notify() {
-	if t.onMutate != nil {
-		t.onMutate()
-	}
-}
-
-// SetPHVKeyFields declares that the table's key extractor reads exactly the
-// named PHV scratch fields, in key order. The declaration lets the plan
-// compiler replace the generic keyFunc with direct container reads on the
-// compiled packet path; the interpreted path is unaffected. The field count
-// must match the table's key count, and every name must be defined in the
-// layout. Call at provisioning time, before traffic flows.
+// SetPHVKeyFields declares that the table's key is exactly the named PHV
+// scratch fields, in key order. Apply then reads those containers directly
+// (pre-resolved integer indices) instead of calling the table's key
+// function. The field count must match the table's key count, and every
+// name must be defined in the layout. Call at provisioning time, before
+// traffic flows.
 func (t *Table) SetPHVKeyFields(layout *PHVLayout, names ...string) error {
 	if len(names) != t.nkeys {
 		return fmt.Errorf("rmt: table %s: %d key fields declared, want %d", t.Name, len(names), t.nkeys)
@@ -158,7 +224,8 @@ type actionDef struct {
 }
 
 // NewTable creates a table bound to a stage. keyFunc extracts nkeys 32-bit
-// key values from the PHV per lookup.
+// key values from the PHV per lookup; it may be nil for a table whose key
+// fields are declared with SetPHVKeyFields before traffic flows.
 func NewTable(name string, g Gress, stage, capacity, nkeys int, keyFunc func(*PHV) []uint32) *Table {
 	t := &Table{
 		Name:     name,
@@ -167,11 +234,10 @@ func NewTable(name string, g Gress, stage, capacity, nkeys int, keyFunc func(*PH
 		capacity: capacity,
 		keyFunc:  keyFunc,
 		nkeys:    nkeys,
+		actions:  make(map[string]actionDef),
+		byID:     make(map[EntryID]*Entry),
 	}
-	t.state.Store(&tableState{
-		actions: make(map[string]actionDef),
-		buckets: make(map[uint32][]*Entry),
-	})
+	t.state.Store(&tableState{})
 	return t
 }
 
@@ -181,18 +247,10 @@ func NewTable(name string, g Gress, stage, capacity, nkeys int, keyFunc func(*PH
 func (t *Table) RegisterAction(name string, vliwSlots int, fn ActionFunc) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.state.Load()
-	if _, dup := cur.actions[name]; dup {
+	if _, dup := t.actions[name]; dup {
 		return fmt.Errorf("rmt: table %s: action %q already registered", t.Name, name)
 	}
-	ns := cur.clone()
-	ns.actions = make(map[string]actionDef, len(cur.actions)+1)
-	for k, v := range cur.actions {
-		ns.actions[k] = v
-	}
-	ns.actions[name] = actionDef{fn: fn, vliwSlots: vliwSlots}
-	t.state.Store(ns)
-	t.notify()
+	t.actions[name] = actionDef{fn: fn, vliwSlots: vliwSlots}
 	return nil
 }
 
@@ -200,26 +258,26 @@ func (t *Table) RegisterAction(name string, vliwSlots int, fn ActionFunc) error 
 func (t *Table) SetDefault(action string, params ...uint32) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.state.Load()
 	var fn ActionFunc
 	if action != "" {
-		def, ok := cur.actions[action]
+		def, ok := t.actions[action]
 		if !ok {
 			return fmt.Errorf("rmt: table %s: unknown default action %q", t.Name, action)
 		}
 		fn = def.fn
 	}
-	ns := cur.clone()
+	ns := t.state.Load().clone()
 	ns.defaultName = action
 	ns.defaultFn = fn
 	ns.defaultParams = params
 	t.state.Store(ns)
-	t.notify()
 	return nil
 }
 
 // Insert installs an entry atomically. It fails when the table is full, the
-// action is unknown, or the key count is wrong.
+// action is unknown, or the key count is wrong. The published copy costs the
+// state header plus the touched bucket's group and shard, whatever the table
+// holds.
 func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []uint32, owner string) (EntryID, error) {
 	if err := fpInsert.Check(); err != nil {
 		return 0, fmt.Errorf("rmt: table %s: insert: %w", t.Name, err)
@@ -230,23 +288,24 @@ func (t *Table) Insert(keys []TernaryKey, priority int, action string, params []
 	if len(keys) != t.nkeys {
 		return 0, fmt.Errorf("rmt: table %s: entry has %d keys, want %d", t.Name, len(keys), t.nkeys)
 	}
-	if _, ok := cur.actions[action]; !ok {
+	def, ok := t.actions[action]
+	if !ok {
 		return 0, fmt.Errorf("rmt: table %s: unknown action %q", t.Name, action)
 	}
 	if cur.count >= t.capacity {
 		return 0, fmt.Errorf("rmt: table %s: full (%d entries)", t.Name, t.capacity)
 	}
 	t.nextID++
-	e := &Entry{ID: t.nextID, Keys: keys, Priority: priority, Action: action, Params: params, Owner: owner}
+	e := &Entry{ID: t.nextID, Keys: keys, Priority: priority, Action: action, Params: params, Owner: owner, fn: def.fn}
 	ns := cur.clone()
-	if keys[0].Mask == ^uint32(0) {
-		ns.buckets[keys[0].Value] = insertByPriority(copyEntries(cur.buckets[keys[0].Value]), e)
+	if k := keys[0]; k.Mask == ^uint32(0) {
+		ns.setBucket(k.Value, insertByPriority(copyEntries(cur.bucket(k.Value)), e))
 	} else {
 		ns.wildcard = insertByPriority(copyEntries(cur.wildcard), e)
 	}
 	ns.count++
 	t.state.Store(ns)
-	t.notify()
+	t.byID[e.ID] = e
 	return e.ID, nil
 }
 
@@ -269,44 +328,105 @@ func insertByPriority(list []*Entry, e *Entry) []*Entry {
 	return list
 }
 
-// Delete removes an entry atomically.
+// without returns a fresh copy of list minus the entry with the given ID.
+func without(list []*Entry, id EntryID) []*Entry {
+	out := make([]*Entry, 0, len(list))
+	for _, e := range list {
+		if e.ID != id {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Delete removes an entry atomically, copying only its bucket's group and
+// shard.
 func (t *Table) Delete(id EntryID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	e, ok := t.byID[id]
+	if !ok {
+		return fmt.Errorf("rmt: table %s: entry %d not found", t.Name, id)
+	}
 	cur := t.state.Load()
-	for k, b := range cur.buckets {
-		for i, e := range b {
-			if e.ID == id {
-				ns := cur.clone()
-				if len(b) == 1 {
-					delete(ns.buckets, k)
-				} else {
-					nb := make([]*Entry, 0, len(b)-1)
-					nb = append(nb, b[:i]...)
-					nb = append(nb, b[i+1:]...)
-					ns.buckets[k] = nb
+	ns := cur.clone()
+	if k := e.Keys[0]; k.Mask == ^uint32(0) {
+		ns.setBucket(k.Value, without(cur.bucket(k.Value), id))
+	} else {
+		ns.wildcard = without(cur.wildcard, id)
+	}
+	ns.count--
+	t.state.Store(ns)
+	delete(t.byID, id)
+	return nil
+}
+
+// rewrite publishes a state in which every entry is replaced by f(e): nil
+// drops the entry, a different *Entry replaces it. Only shards and lists
+// holding a changed entry are copied. It returns how many entries changed;
+// with none, nothing is published.
+func (t *Table) rewrite(f func(*Entry) *Entry) int {
+	cur := t.state.Load()
+	n := 0
+	edit := func(list []*Entry) ([]*Entry, bool) {
+		var out []*Entry
+		for i, e := range list {
+			r := f(e)
+			if r == e && out == nil {
+				continue
+			}
+			if out == nil {
+				out = append(make([]*Entry, 0, len(list)), list[:i]...)
+			}
+			if r != e {
+				n++
+				if r == nil {
+					delete(t.byID, e.ID)
+					continue
 				}
-				ns.count--
-				t.state.Store(ns)
-				t.notify()
-				return nil
+				t.byID[r.ID] = r
+			}
+			out = append(out, r)
+		}
+		return out, out != nil
+	}
+	ns := cur.clone()
+	for i := uint32(0); i < shardFan*shardFan; i++ {
+		m := cur.shard(i)
+		var nm map[uint32][]*Entry
+		for k, b := range m {
+			nb, changed := edit(b)
+			if !changed {
+				continue
+			}
+			if nm == nil {
+				nm = make(map[uint32][]*Entry, len(m))
+				for kk, v := range m {
+					nm[kk] = v
+				}
+			}
+			if len(nb) == 0 {
+				delete(nm, k)
+			} else {
+				nm[k] = nb
 			}
 		}
-	}
-	for i, e := range cur.wildcard {
-		if e.ID == id {
-			ns := cur.clone()
-			nw := make([]*Entry, 0, len(cur.wildcard)-1)
-			nw = append(nw, cur.wildcard[:i]...)
-			nw = append(nw, cur.wildcard[i+1:]...)
-			ns.wildcard = nw
-			ns.count--
-			t.state.Store(ns)
-			t.notify()
-			return nil
+		if nm != nil {
+			if len(nm) == 0 {
+				nm = nil
+			}
+			ns.setShard(i, nm)
 		}
 	}
-	return fmt.Errorf("rmt: table %s: entry %d not found", t.Name, id)
+	if nw, changed := edit(cur.wildcard); changed {
+		ns.wildcard = nw
+	}
+	if n == 0 {
+		return 0
+	}
+	ns.count = len(t.byID)
+	t.state.Store(ns)
+	return n
 }
 
 // DeleteOwned removes every entry installed under owner and returns how many
@@ -314,37 +434,12 @@ func (t *Table) Delete(id EntryID) error {
 func (t *Table) DeleteOwned(owner string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.state.Load()
-	n := 0
-	ns := cur.clone()
-	for k, b := range cur.buckets {
-		kept := make([]*Entry, 0, len(b))
-		for _, e := range b {
-			if e.Owner == owner {
-				n++
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		if len(kept) == 0 {
-			delete(ns.buckets, k)
-		} else {
-			ns.buckets[k] = kept
-		}
-	}
-	kept := make([]*Entry, 0, len(cur.wildcard))
-	for _, e := range cur.wildcard {
+	return t.rewrite(func(e *Entry) *Entry {
 		if e.Owner == owner {
-			n++
-		} else {
-			kept = append(kept, e)
+			return nil
 		}
-	}
-	ns.wildcard = kept
-	ns.count -= n
-	t.state.Store(ns)
-	t.notify()
-	return n
+		return e
+	})
 }
 
 // Reown transfers every entry installed under oldOwner to newOwner. Owner
@@ -358,45 +453,16 @@ func (t *Table) DeleteOwned(owner string) int {
 func (t *Table) Reown(oldOwner, newOwner string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.state.Load()
-	n := 0
-	reown := func(list []*Entry) []*Entry {
-		touched := false
-		for _, e := range list {
-			if e.Owner == oldOwner {
-				touched = true
-				break
-			}
+	return t.rewrite(func(e *Entry) *Entry {
+		if e.Owner != oldOwner {
+			return e
 		}
-		if !touched {
-			return list
+		return &Entry{
+			ID: e.ID, Keys: e.Keys, Priority: e.Priority,
+			Action: e.Action, Params: e.Params, Owner: newOwner,
+			fn: e.fn, hits: e.Hits(),
 		}
-		out := make([]*Entry, len(list))
-		for i, e := range list {
-			if e.Owner != oldOwner {
-				out[i] = e
-				continue
-			}
-			out[i] = &Entry{
-				ID: e.ID, Keys: e.Keys, Priority: e.Priority,
-				Action: e.Action, Params: e.Params, Owner: newOwner,
-				hits: e.Hits(),
-			}
-			n++
-		}
-		return out
-	}
-	ns := cur.clone()
-	for k, b := range cur.buckets {
-		ns.buckets[k] = reown(b)
-	}
-	ns.wildcard = reown(cur.wildcard)
-	if n == 0 {
-		return 0
-	}
-	t.state.Store(ns)
-	t.notify()
-	return n
+	})
 }
 
 // Apply performs one match-action lookup for the packet. It returns whether
@@ -404,14 +470,29 @@ func (t *Table) Reown(oldOwner, newOwner string) int {
 // one immutable snapshot, so concurrent Insert/Delete can never expose a
 // half-updated entry set; hit/miss counters are atomics.
 func (t *Table) Apply(p *PHV) bool {
-	keyVals := t.keyFunc(p)
 	st := t.state.Load()
+	if st.count == 0 && st.defaultFn == nil {
+		// Nothing can match and nothing runs on a miss: skip key
+		// extraction (most provisioned RPBs are empty at any moment).
+		t.misses.Add(1)
+		return false
+	}
+	var keyVals []uint32
+	if t.keyPHV != nil {
+		keyVals = p.keyScratchRaw(len(t.keyPHV))
+		// PHV.Set masks on write, so a raw container read equals Get.
+		for i, idx := range t.keyPHV {
+			keyVals[i] = p.vals[idx]
+		}
+	} else {
+		keyVals = t.keyFunc(p)
+	}
 	e := st.lookup(keyVals)
 	var fn ActionFunc
 	var params []uint32
 	switch {
 	case e != nil:
-		fn = st.actions[e.Action].fn
+		fn = e.fn
 		params = e.Params
 		atomic.AddUint64(&e.hits, 1)
 		t.hits.Add(1)
@@ -442,12 +523,10 @@ func (t *Table) Apply(p *PHV) bool {
 
 func (st *tableState) lookup(keyVals []uint32) *Entry {
 	var best *Entry
-	if b, ok := st.buckets[keyVals[0]]; ok {
-		for _, e := range b {
-			if matchAll(e.Keys, keyVals) {
-				best = e
-				break // bucket sorted by priority
-			}
+	for _, e := range st.bucket(keyVals[0]) {
+		if matchAll(e.Keys, keyVals) {
+			best = e
+			break // bucket sorted by priority
 		}
 	}
 	for _, e := range st.wildcard {
@@ -497,43 +576,44 @@ func (t *Table) Stats() (hits, misses uint64) {
 // OwnerHits sums the direct counters of every entry a program owns — the
 // control plane's per-program monitoring primitive.
 func (t *Table) OwnerHits(owner string) uint64 {
-	st := t.state.Load()
 	var total uint64
-	for _, b := range st.buckets {
-		for _, e := range b {
-			if e.Owner == owner {
-				total += e.Hits()
-			}
-		}
-	}
-	for _, e := range st.wildcard {
+	t.state.Load().each(func(e *Entry) {
 		if e.Owner == owner {
 			total += e.Hits()
 		}
-	}
+	})
 	return total
+}
+
+// AddHitsByOwner adds every entry's direct counter to into[entry owner], in
+// one pass over the table — the per-program listing's form of OwnerHits.
+func (t *Table) AddHitsByOwner(into map[string]uint64) {
+	t.state.Load().each(func(e *Entry) { into[e.Owner] += e.Hits() })
 }
 
 // VLIWUsage sums the VLIW slots of all registered actions.
 func (t *Table) VLIWUsage() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	n := 0
-	for _, a := range t.state.Load().actions {
+	for _, a := range t.actions {
 		n += a.vliwSlots
 	}
 	return n
 }
 
 // ActionCount returns the number of registered actions.
-func (t *Table) ActionCount() int { return len(t.state.Load().actions) }
+func (t *Table) ActionCount() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.actions)
+}
 
 // Entries returns a snapshot of installed entries (for tests/inspection).
 func (t *Table) Entries() []*Entry {
 	st := t.state.Load()
 	out := make([]*Entry, 0, st.count)
-	for _, b := range st.buckets {
-		out = append(out, b...)
-	}
-	out = append(out, st.wildcard...)
+	st.each(func(e *Entry) { out = append(out, e) })
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -2,6 +2,7 @@ package rmt
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -314,4 +315,53 @@ func ids(list []*Entry) string {
 		s += fmt.Sprintf("%d(p%d) ", e.ID, e.Priority)
 	}
 	return s
+}
+
+// mutationBytes reports the bytes one Insert+Delete pair allocates on tbl,
+// averaged over many pairs. Each pair links and unlinks a fresh first key,
+// the way a program deploy and revoke touch an RPB table.
+func mutationBytes(t *testing.T, tbl *Table) float64 {
+	t.Helper()
+	const rounds = 2000
+	keys := make([][]TernaryKey, rounds)
+	for i := range keys {
+		keys[i] = []TernaryKey{Exact(uint32(100000 + i)), Wild()}
+	}
+	params := []uint32{1}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		id, err := tbl.Insert(keys[i], 0, "set", params, "churn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+}
+
+// TestMutationCopyIsFlat: publishing a mutation copies the touched bucket's
+// shard, not the table, so an Insert+Delete pair allocates the same bytes on
+// a table holding one first-key bucket as on one holding a thousand (the
+// RPB occupancy of a switch with a thousand linked programs).
+func TestMutationCopyIsFlat(t *testing.T) {
+	small := newTestTable(t, 2048)
+	if _, err := small.Insert([]TernaryKey{Exact(1), Wild()}, 0, "set", []uint32{1}, "p"); err != nil {
+		t.Fatal(err)
+	}
+	full := newTestTable(t, 2048)
+	for k := uint32(1); k <= 1000; k++ {
+		if _, err := full.Insert([]TernaryKey{Exact(k), Wild()}, 0, "set", []uint32{k}, "p"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b1, b1000 := mutationBytes(t, small), mutationBytes(t, full)
+	t.Logf("bytes per insert+delete: %.0f with 1 bucket, %.0f with 1000", b1, b1000)
+	if diff := b1000 - b1; diff > 1024 || diff < -1024 {
+		t.Fatalf("mutation cost grows with occupancy: %.0f B at 1 bucket vs %.0f B at 1000", b1, b1000)
+	}
 }

@@ -185,7 +185,7 @@ func (e *Engine) Sweep() {
 				toRegister = append(toRegister, pi.Name)
 			}
 		}
-		pktHits := e.ct.ProgramPacketHits(pi.Name)
+		pktHits := pi.PacketHits
 		if pi.ProgramID != s.programID || pktHits < s.lastPktHits {
 			// Revoke+redeploy under the same name restarts the counters;
 			// a stale window would otherwise report a huge negative pps.
